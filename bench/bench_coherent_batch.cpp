@@ -5,8 +5,8 @@
 // estimate. The runtime exploits that twice: the backend's ChannelPrepCache
 // pays the QR factorization once per block instead of once per frame, and a
 // lane that pops B consecutive frames sharing a channel decodes them through
-// one fused multi-frame level GEMM (decode_batch_with) — bit-identical per
-// frame to the sequential path by construction. This bench sweeps L x B on a
+// one fused multi-frame level GEMM (decode_wide) — bit-identical per frame to
+// the sequential path by construction. This bench sweeps L x B on a
 // single lane so the speedup is pure reuse + fusion, not parallelism.
 //
 //   SD_TRIALS=256 ./bench_coherent_batch [--m=10] [--mod=4qam] [--snr=14]

@@ -51,15 +51,14 @@ int main(int argc, char** argv) {
       frames);
 
   // CPU-bound backends scale with physical cores; the emulated-offload
-  // series (workers blocked on the FPGA cycle model's device time plus a
-  // 1 ms host<->device round trip, like a host thread waiting on the
-  // accelerator) scales with workers on any host because the waits
-  // overlap — the paper's multi-pipeline argument.
+  // series (a "cpu:<workers>:rtt-ms=1" pool: workers blocked on the FPGA
+  // cycle model's device time plus a 1 ms host<->device round trip, like a
+  // host thread waiting on the accelerator) scales with workers on any host
+  // because the waits overlap — the paper's multi-pipeline argument.
   struct Backend {
     std::string label;
     std::string spec;
-    bool emulate_device;
-    double rtt_s;
+    bool offload;
   };
   const std::string precision = cli.get_or("precision", "");
   const std::vector<Backend> backends =
@@ -67,15 +66,15 @@ int main(int argc, char** argv) {
           // Fixed-point soak: same traversal on the float and the quantized
           // datapaths, so any throughput/latency delta is the datapath's.
           ? std::vector<Backend>{
-                {"bfs (fp32)", "bfs", false, 0.0},
-                {"bfs (int16)", "bfs:precision=int16", false, 0.0},
+                {"bfs (fp32)", "bfs", false},
+                {"bfs (int16)", "bfs:precision=int16", false},
             }
           : std::vector<Backend>{
-                {"sphere (cpu)", "sphere", false, 0.0},
-                {"multipe:threads=2", "multipe:threads=2", false, 0.0},
-                {"kbest:k=16", "kbest:k=16", false, 0.0},
-                {"sphere@fpga (model)", "sphere@fpga", false, 0.0},
-                {"sphere@fpga (offload, 1ms rtt)", "sphere@fpga", true, 1e-3},
+                {"sphere (cpu)", "sphere", false},
+                {"multipe:threads=2", "multipe:threads=2", false},
+                {"kbest:k=16", "kbest:k=16", false},
+                {"sphere@fpga (model)", "sphere@fpga", false},
+                {"sphere@fpga (offload, 1ms rtt)", "sphere@fpga", true},
             };
   const std::string pool = cli.get_or("backends", "");
 
@@ -164,8 +163,9 @@ int main(int argc, char** argv) {
       so.num_workers = workers;
       so.batch_size = 4;
       so.queue_capacity = 64;
-      so.emulate_device_latency = backend.emulate_device;
-      so.emulated_rtt_s = backend.rtt_s;
+      if (backend.offload) {
+        so.backends = "cpu:" + std::to_string(workers) + ":rtt-ms=1";
+      }
       LoadOptions lo;
       lo.mode = ArrivalMode::kClosedLoop;
       lo.num_frames = frames;

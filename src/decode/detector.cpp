@@ -49,14 +49,6 @@ void Detector::decode_with(const PreprocessedChannel& prep,
   decode_into(prep.channel.matrix(), y, sigma2, out);
 }
 
-void Detector::decode_batch_with(const PreprocessedChannel& prep,
-                                 std::span<BatchItem> items) {
-  for (BatchItem& item : items) {
-    SD_CHECK(item.out != nullptr, "batch item missing an output slot");
-    decode_with(prep, item.y, item.sigma2, *item.out);
-  }
-}
-
 void Detector::decode_wide(std::span<WideItem> items) {
   for (WideItem& item : items) {
     SD_CHECK(item.prep != nullptr, "wide item missing a prepared channel");

@@ -132,25 +132,9 @@ class Detector {
                            std::span<const cplx> y, double sigma2,
                            DecodeResult& out);
 
-  /// One frame of a fused multi-frame batch.
-  struct BatchItem {
-    std::span<const cplx> y;
-    double sigma2 = 0.0;
-    DecodeResult* out = nullptr;
-  };
-
-  /// Decodes B frames sharing one prepared channel. The base implementation
-  /// loops decode_with(); detectors with a fused level-GEMM path (BFS)
-  /// override it to stack the frames' frontier columns into one wide product
-  /// per level. Every override is REQUIRED to produce per-frame results
-  /// bit-identical to sequential decode_with() calls (pinned by
-  /// tests/test_coherent_batch.cpp).
-  virtual void decode_batch_with(const PreprocessedChannel& prep,
-                                 std::span<BatchItem> items);
-
-  /// One frame of a cross-channel ("wide") batch: each frame carries its OWN
+  /// One frame of a fused ("wide") batch: each frame carries its OWN
   /// prepared channel. The prep pointers must outlive the call; frames may
-  /// freely share a prep.
+  /// freely share a prep — a same-channel batch is just equal pointers.
   struct WideItem {
     const PreprocessedChannel* prep = nullptr;
     std::span<const cplx> y;
@@ -162,7 +146,8 @@ class Detector {
   /// decode_with(); the BFS detector overrides it to pack the frames'
   /// frontier columns — across DIFFERENT channels — into one block-diagonal
   /// level product (DESIGN.md §14). Every override is REQUIRED to produce
-  /// per-frame results bit-identical to sequential decode_with() calls.
+  /// per-frame results bit-identical to sequential decode_with() calls
+  /// (pinned by tests/test_coherent_batch.cpp).
   virtual void decode_wide(std::span<WideItem> items);
 };
 

@@ -9,6 +9,10 @@
 // reached, so the frontier — and the GEMM volume — grows far beyond what the
 // Best-FS decoder touches. The node/GEMM counts recorded here are exact and
 // feed the A100 timing model.
+//
+// One engine, bfs_lockstep<Datapath>, runs every decode: a solo decode is a
+// width-1 batch, and the fp32 and int16 datapaths are compile-time policies
+// over the same level loop (DESIGN.md §12, §14, §15).
 #pragma once
 
 #include "decode/decode_scratch.hpp"
@@ -32,12 +36,6 @@ struct BfsOptions {
   /// §15). Falls back to the float search per frame when the quantized
   /// radius saturates without finding a leaf.
   bool quantized = false;
-};
-
-/// Quantized frontier entry: MST node id plus its exact int32 Q(2f) PD.
-struct QuantNode {
-  NodeId id;
-  std::int32_t pd;
 };
 
 class SdGemmBfsDetector final : public Detector {
@@ -77,70 +75,57 @@ class SdGemmBfsDetector final : public Detector {
   void decode_with(const PreprocessedChannel& prep, std::span<const cplx> y,
                    double sigma2, DecodeResult& out) override;
 
-  /// Fused multi-frame decode: B frames sharing one prepared channel run the
-  /// level-synchronous search in LOCKSTEP, stacking their frontier columns
-  /// into a single k x (sum_j f_j * p) level GEMM — the wide products the SoA
-  /// kernel rewards. Each frame's results AND stats are bit-identical to a
-  /// sequential decode_with() per frame (see DESIGN.md §12 for the
-  /// column-independence argument); frames that need a radius restart or
-  /// exceed the fused operand budget are peeled off and re-run sequentially.
-  /// Implemented as the shared-prep special case of decode_wide().
-  void decode_batch_with(const PreprocessedChannel& prep,
-                         std::span<BatchItem> items) override;
-
-  /// Cross-channel ("wide") fused decode: frames with DIFFERENT channels run
-  /// the lockstep level advance together, each level issuing ONE grouped
-  /// block-diagonal GEMM over the distinct R blocks (DESIGN.md §14). Frames
-  /// whose prep kind or dimension does not match are peeled to the
-  /// sequential path up front; empty-frontier restarts and operand-budget
-  /// demotions peel exactly as in decode_batch_with(). Per-frame results and
-  /// stats stay bit-identical to sequential decode_with() calls.
+  /// Fused multi-frame decode: the frames run the level-synchronous search
+  /// in LOCKSTEP, each level issuing ONE grouped block-diagonal product over
+  /// the distinct R blocks of the frames' preps (frames sharing a prep share
+  /// a block; DESIGN.md §12, §14). Frames whose prep kind does not match
+  /// take the one-shot fallback up front; frames that need a radius retry,
+  /// exceed the fused operand budget or differ in dimension finish in later
+  /// engine passes. Per-frame results and stats stay bit-identical to
+  /// sequential decode_with() calls.
   void decode_wide(std::span<WideItem> items) override;
 
-  /// Tree search on an already-preprocessed system.
-  void search(const Preprocessed& pre, double sigma2, DecodeResult& result);
-
-  /// Fixed-point tree search: int16 level GEMMs against the prep's quantized
-  /// R planes, int32 partial distances with EXACT integer comparisons, and a
-  /// scale-aware integer radius. Reported PDs/metrics are dequantized. When
-  /// the integer radius saturates with an empty frontier, the frame falls
-  /// back to the float search() (counted in stats.quant_fallbacks).
-  void search_quant(const Preprocessed& pre,
-                    const quant::QuantChannelPrep& qprep, double sigma2,
-                    DecodeResult& result);
-
   /// True if the last decode had to truncate a frontier (BER no longer
-  /// guaranteed ML-optimal). After decode_batch_with() this reports the
-  /// LAST frame of the batch, matching a sequential loop over the frames.
+  /// guaranteed ML-optimal). After decode_wide() this reports the LAST
+  /// frame of the batch, matching a sequential loop over the frames.
   [[nodiscard]] bool last_truncated() const noexcept { return truncated_; }
 
  private:
   struct FusedFrame;  // per-frame lockstep state (sd_gemm_bfs.cpp)
+  struct Float;       // datapath policies (sd_gemm_bfs.cpp)
+  struct Int16;
 
-  /// Cross-channel wide decode on the fixed-point datapath: one grouped
-  /// int16 level product per level, per-frame QuantSpecs (scales may differ
-  /// across channels), identical peeling rules to the float wide path.
-  void decode_wide_quant(std::span<WideItem> items);
+  /// Which engine instantiation a frame waits for.
+  enum class Stage : std::uint8_t { kDone, kInt16, kFloat };
+
+  /// Adds a frame (preprocessed into its own scratch) to frames_.
+  void admit(FusedFrame& fr, const void* block_key,
+             const quant::QuantChannelPrep* qprep, double sigma2,
+             DecodeResult& out);
+  /// Runs frames_ to completion on both datapaths.
+  void run();
+  /// The lockstep engine: every frame of frames_ waiting for datapath D.
+  template <class D> void bfs_lockstep();
+  template <class D> void begin(FusedFrame& fr);
+  template <class D> void begin_attempt(FusedFrame& fr);
+  template <class D> void retry(FusedFrame& fr);
+  template <class D> void harvest(FusedFrame& fr);
 
   const Constellation* c_;
   BfsOptions opts_;
-  DecodeScratch scratch_;
-  std::vector<std::unique_ptr<FusedFrame>> fused_;  ///< pooled across batches
-  std::vector<WideItem> wide_items_;           ///< decode_batch_with adapter
-  std::vector<GemmGroup> groups_;              ///< per-level grouped-GEMM map
-  std::vector<const PreprocessedChannel*> block_keys_;  ///< distinct preps
-  std::vector<const Preprocessed*> block_pres_;  ///< one R source per block
+  std::vector<std::unique_ptr<FusedFrame>> fused_;  ///< pooled across calls
+  std::vector<FusedFrame*> frames_;  ///< the frames of the running call
 
-  // Quantized-path scratch (recycled across decodes like DecodeScratch).
-  quant::QuantChannelPrep qlocal_;     ///< decode_into-path calibration
-  std::vector<std::int16_t> qsyms_;    ///< constellation, (re,im) Q(f) pairs
-  quant::I16Mat qa_re_, qa_im_;        ///< level A planes (possibly stacked)
-  quant::I16Mat qs_ri_;                ///< interleaved tree-state operand
-  quant::I32Mat qz_re_, qz_im_;        ///< exact Q(2f) level products
-  std::vector<QuantNode> qfrontier_;
-  std::vector<QuantNode> qnext_;
-  std::vector<const quant::QuantChannelPrep*> block_qpreps_;  ///< wide blocks
-
+  // Level operands shared by the frames of a pass (recycled like
+  // DecodeScratch: reshape keeps the high-water allocation).
+  CMat a_stack_, s_mat_, z_;
+  GemmWorkspace gemm_ws_;
+  quant::I16Mat qa_re_, qa_im_;  ///< stacked int16 A planes
+  quant::I16Mat qs_ri_;          ///< interleaved tree-state operand
+  quant::I32Mat qz_re_, qz_im_;  ///< exact Q(2f) level products
+  std::vector<GemmGroup> groups_;           ///< per-level grouped-GEMM map
+  std::vector<const FusedFrame*> blocks_;  ///< A-block source per block
+  quant::QuantChannelPrep qlocal_;  ///< decode_into-path calibration
   bool truncated_ = false;
 };
 

@@ -13,7 +13,7 @@
 //   - FpgaBackend: each lane drives a simulated FpgaPipeline design point and
 //     is paced to the *charged* device time (cycle model) plus a configurable
 //     host<->device RTT — the accelerator round trip a host thread blocks on.
-//     This subsumes the serve layer's old emulate_device_latency hack.
+//     Any other entry with an `rtt-ms=` field is paced the same way.
 //   - ParallelSdBackend: lanes own multi-threaded sub-tree SD detectors.
 #pragma once
 
@@ -28,9 +28,9 @@
 
 #include "core/sphere_decoder.hpp"
 #include "decode/channel_prep.hpp"
+#include "serve/backpressure.hpp"
 #include "serve/frame.hpp"
 #include "serve/metrics.hpp"
-#include "serve/queue.hpp"
 
 namespace sd::dispatch {
 

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/logging.hpp"
 #include "core/spec_parse.hpp"
 #include "dispatch/backend.hpp"
 #include "obs/trace.hpp"
@@ -47,18 +46,12 @@ ServerOptions parse_server_options(std::string_view text, ServerOptions base) {
       base.degrade_on_deadline = true;
     } else if (opt.key == "deterministic-cost") {
       base.deterministic_cost = true;
-    } else if (opt.key == "emulate-device") {
-      base.emulate_device_latency = true;
-    } else if (opt.key == "rtt-ms") {
-      base.emulated_rtt_s = spec_option_double(opt) * 1e-3;
-      base.emulate_device_latency = true;
     } else {
       throw invalid_argument_error(
           "unknown server option '" + opt.key +
           "' (workers, batch, queue, policy, deadline-ms, no-fallback, "
           "no-cross-fuse, no-cross-lane-fuse, wide-width, placement, "
-          "fpga-rtt-ms, no-degrade, "
-          "deterministic-cost, emulate-device, rtt-ms)");
+          "fpga-rtt-ms, no-degrade, deterministic-cost)");
     }
   }
   return base;
@@ -72,14 +65,7 @@ DetectionServer::DetectionServer(SystemConfig system, DecoderSpec spec,
   SD_CHECK(opts_.queue_capacity >= 1, "queue capacity must be positive");
   SD_CHECK(opts_.max_wide_width >= 1, "wide width must be positive");
   SD_CHECK(opts_.default_deadline_s >= 0.0, "deadline must be non-negative");
-  SD_CHECK(opts_.emulated_rtt_s >= 0.0, "emulated RTT must be non-negative");
   SD_CHECK(opts_.fpga_rtt_s >= 0.0, "FPGA RTT must be non-negative");
-
-  if (opts_.emulate_device_latency || opts_.emulated_rtt_s > 0.0) {
-    SD_LOG_WARN << "ServerOptions::emulate_device_latency/emulated_rtt_s are "
-                   "deprecated; use a backends pool spec with an fpga entry "
-                   "(or an rtt-ms= backend field) instead";
-  }
 
   std::vector<dispatch::BackendConfig> configs;
   if (opts_.backends.empty()) {
@@ -91,8 +77,6 @@ DetectionServer::DetectionServer(SystemConfig system, DecoderSpec spec,
     cfg.label = "cpu";
     cfg.lanes = opts_.num_workers;
     cfg.decoder = spec_;
-    cfg.pace_to_charged = opts_.emulate_device_latency;
-    cfg.rtt_s = opts_.emulated_rtt_s;
     cfg.lane_queue_capacity = opts_.queue_capacity;
     cfg.policy = opts_.policy;
     cfg.batch_size = opts_.batch_size;

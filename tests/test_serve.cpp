@@ -59,9 +59,6 @@ TEST(ServeOptions, ParseServerOptions) {
   EXPECT_FALSE(o.zf_fallback_on_expiry);
   // Empty text keeps the base untouched.
   EXPECT_EQ(parse_server_options("").num_workers, ServerOptions{}.num_workers);
-  const ServerOptions rtt = parse_server_options("rtt-ms=2");
-  EXPECT_TRUE(rtt.emulate_device_latency);
-  EXPECT_DOUBLE_EQ(rtt.emulated_rtt_s, 2e-3);
   EXPECT_THROW((void)parse_server_options("warp-drive=9"),
                invalid_argument_error);
   EXPECT_THROW((void)parse_server_options("policy=psychic"),
@@ -451,15 +448,15 @@ TEST(ServeBackends, FpgaAndKBestBackendsServeCorrectly) {
   }
 }
 
-// Device-latency emulation paces each completed frame to at least the
-// charged cycle-model time — the invariant the offload soak series relies on.
+// A cpu backend with an rtt-ms field paces each completed frame to at least
+// the charged cycle-model time plus the round trip — the invariant the
+// offload soak series relies on.
 TEST(ServeEmulation, ServiceTimeCoversChargedDeviceTime) {
   const DecoderSpec spec = parse_decoder_spec("sphere@fpga");
+  constexpr double kRttS = 2e-3;
   ServerOptions so;
-  so.num_workers = 2;
   so.queue_capacity = 8;
-  so.emulate_device_latency = true;
-  so.emulated_rtt_s = 2e-3;
+  so.backends = "cpu:2:rtt-ms=2";
   std::mutex mu;
   std::vector<FrameResult> results;
   const CompletionFn observer = [&](const FrameResult& r) {
@@ -472,7 +469,7 @@ TEST(ServeEmulation, ServiceTimeCoversChargedDeviceTime) {
   for (const FrameResult& r : results) {
     ASSERT_EQ(r.status, FrameStatus::kCompleted);
     EXPECT_GE(r.service_s,
-              (r.result.stats.search_seconds + so.emulated_rtt_s) * 0.99)
+              (r.result.stats.search_seconds + kRttS) * 0.99)
         << "frame " << r.id;
   }
 }
