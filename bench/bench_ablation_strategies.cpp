@@ -20,7 +20,12 @@ int main() {
     DecoderSpec spec;
   };
   std::vector<Entry> entries;
-  entries.push_back({"Best-FS + GEMM (paper)", DecoderSpec{}});
+  {
+    DecoderSpec s;
+    s.sd.level_gemm = LevelGemm::kFull;
+    entries.push_back({"Best-FS + GEMM (paper)", s});
+  }
+  entries.push_back({"Best-FS + row-0 GEMM (default)", DecoderSpec{}});
   {
     DecoderSpec s;
     s.strategy = Strategy::kBestFsScalar;

@@ -70,8 +70,11 @@ void run_time_figure(const TimeFigureConfig& cfg) {
 
   ExperimentRunner runner(sys, trials, cfg.seed);
 
+  // The CPU column is the paper's CPU formulation: the full k x k level
+  // product (the served Best-FS default computes only its row 0).
   DecoderSpec cpu_spec;
   cpu_spec.sd.max_nodes = cfg.max_nodes;
+  cpu_spec.sd.level_gemm = LevelGemm::kFull;
   auto cpu = make_detector(sys, cpu_spec);
 
   DecoderSpec base_spec = cpu_spec;

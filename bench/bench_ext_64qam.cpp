@@ -25,6 +25,7 @@ int main() {
     ExperimentRunner runner(sys, trials, 91);
     DecoderSpec cpu_spec;
     cpu_spec.sd.max_nodes = 1'000'000;
+    cpu_spec.sd.level_gemm = LevelGemm::kFull;  // the paper's CPU formulation
     auto cpu = make_detector(sys, cpu_spec);
     DecoderSpec fpga_spec = cpu_spec;
     fpga_spec.device = TargetDevice::kFpgaOptimized;

@@ -55,6 +55,10 @@ struct DecodeScratch {
   CMat s_mat;
   CMat z;
   GemmWorkspace gemm_ws;
+  // Best-FS row-0 evaluation: the P-wide product row, and the decided
+  // symbol points indexed by R row (decided[a] pairs with column a of R).
+  CVec level_row;
+  CVec decided;
 
   // Tree traversal state.
   std::vector<ScratchNode> frontier;  ///< BFS current level

@@ -60,7 +60,9 @@ DecodeResult FsdDetector::decode(const CMat& h, std::span<const cplx> y,
       ++result.stats.nodes_generated;
     }
     ++result.stats.leaves_reached;
-    if (pd < best_pd) {
+    // The first path seeds the incumbent: a NaN or overflowed PD never
+    // compares less, and the answer must still be a full index vector.
+    if (pi == 0 || pd < best_pd) {
       best_pd = pd;
       best_path = path;
       ++result.stats.radius_updates;

@@ -85,9 +85,15 @@ void SdGemmDetector::search(const Preprocessed& pre, double sigma2,
   best_path.assign(static_cast<usize>(m), 0);
   double best_pd = std::numeric_limits<double>::infinity();
 
-  const bool row0 = opts_.level_gemm == LevelGemm::kRow0;
+  const bool full = opts_.level_gemm == LevelGemm::kFull;
+  // path[d] = symbol index decided at depth d; decided[a] = its point, kept
+  // by R row so a node's parent symbols are the contiguous decided[a+1, m).
   std::vector<index_t>& path = scratch_.path;
   path.assign(static_cast<usize>(m), 0);
+  CVec& decided = scratch_.decided;
+  decided.assign(static_cast<usize>(m), cplx{0, 0});
+  CVec& level_row = scratch_.level_row;
+  level_row.resize(static_cast<usize>(p));
   std::vector<ScratchChild>& children = scratch_.children;
   children.resize(static_cast<usize>(p));
   std::vector<ScratchChild>& survivors = scratch_.survivors;
@@ -96,8 +102,9 @@ void SdGemmDetector::search(const Preprocessed& pre, double sigma2,
   batch.reserve(static_cast<usize>(p));
 
   // Expands the node `parent_id` (kRootId = the virtual root) whose path
-  // symbols for depths [0, depth) are already in `path` and whose PD is
-  // `parent_pd`. Children live at depth `depth`, i.e. antenna a = m-1-depth.
+  // symbols for depths [0, depth) are already in `path` (their points in
+  // decided[a+1, m)) and whose PD is `parent_pd`. Children live at depth
+  // `depth`, i.e. antenna a = m-1-depth.
   auto expand = [&](NodeId parent_id, index_t depth, real parent_pd) {
     const index_t a = m - 1 - depth;
     ++result.stats.nodes_expanded;
@@ -105,41 +112,51 @@ void SdGemmDetector::search(const Preprocessed& pre, double sigma2,
 
     if (opts_.gemm_eval) {
       // Phase 2, GEMM form (the BLAS-2 -> BLAS-3 refactoring of [1]): the
-      // whole trailing R block R[a:m, a:m] is multiplied by the tree-state
-      // matrix S whose columns are the P candidate blocks (new symbol on
-      // top, parent path below) — "a block of the tree state matrix is
-      // multiplied by its corresponding block in the channel matrix"
-      // (paper §III-A2). Only row a is new information (the rows below
-      // re-derive the parent's contributions), so the PD increment reads
-      // row 0 of z; the redundant rows are the regularity the compute-bound
-      // refactoring trades for accelerator-friendly GEMM shapes.
+      // trailing R block R[a:m, a:m] times the tree-state matrix S whose
+      // columns are the P candidate blocks (new symbol on top, parent path
+      // below) — "a block of the tree state matrix is multiplied by its
+      // corresponding block in the channel matrix" (paper §III-A2). Only row
+      // a is new information (the rows below re-derive the parent's
+      // contributions), so the PD increment reads row 0 of the product.
       const index_t k = m - a;  // trailing block size
-      // Operands live in detector-owned scratch (reshape keeps capacity;
-      // a_block rows are rewritten in full, s_mat / z fully overwritten).
-      // LevelGemm::kRow0 forms only row 0 of the product — the row the PD
-      // loop reads — with bit-identical values; see sphere_common.hpp.
-      const index_t zr = row0 ? 1 : k;
-      CMat& a_block = scratch_.a_block;
-      a_block.reshape(zr, k);
-      for (index_t r2 = 0; r2 < zr; ++r2) {
-        for (index_t t = 0; t < r2; ++t) a_block(r2, t) = cplx{0, 0};
-        for (index_t t = r2; t < k; ++t) {
-          a_block(r2, t) = pre.r(a + r2, a + t);
+      std::span<const cplx> z;  // row 0 of R[a:m, a:m] x S
+      if (full) {
+        // Paper form: materialise the k x k block and S, run the whole
+        // product. Operands live in detector-owned scratch (reshape keeps
+        // capacity; every element is rewritten before it is read).
+        CMat& a_block = scratch_.a_block;
+        a_block.reshape(k, k);
+        for (index_t r2 = 0; r2 < k; ++r2) {
+          for (index_t t = 0; t < r2; ++t) a_block(r2, t) = cplx{0, 0};
+          for (index_t t = r2; t < k; ++t) {
+            a_block(r2, t) = pre.r(a + r2, a + t);
+          }
         }
+        CMat& s_mat = scratch_.s_mat;
+        s_mat.reshape(k, p);
+        for (index_t col = 0; col < p; ++col) s_mat(0, col) = c_->point(col);
+        for (index_t t = 1; t < k; ++t) {
+          // Column a+t of R corresponds to the symbol decided at depth
+          // m-1-(a+t) = depth - t.
+          const cplx sym = c_->point(path[static_cast<usize>(depth - t)]);
+          for (index_t col = 0; col < p; ++col) s_mat(t, col) = sym;
+        }
+        CMat& zm = scratch_.z;
+        zm.reshape(k, p);
+        gemm(Op::kNone, cplx{1, 0}, a_block, s_mat, cplx{0, 0}, zm,
+             scratch_.gemm_ws);
+        z = zm.row(0);
+      } else {
+        // Row 0 only, same per-element reduction (see gemm_row0_shared_tail):
+        // bit-identical PDs for a k-th of the arithmetic.
+        gemm_row0_shared_tail(pre.r.row(a).subspan(static_cast<usize>(a)),
+                              c_->points(),
+                              std::span<const cplx>(decided).subspan(
+                                  static_cast<usize>(a) + 1),
+                              level_row);
+        z = level_row;
       }
-      CMat& s_mat = scratch_.s_mat;
-      s_mat.reshape(k, p);
-      for (index_t col = 0; col < p; ++col) s_mat(0, col) = c_->point(col);
-      for (index_t t = 1; t < k; ++t) {
-        // Column a+t of R corresponds to the symbol decided at depth
-        // m-1-(a+t) = depth - t.
-        const cplx sym = c_->point(path[static_cast<usize>(depth - t)]);
-        for (index_t col = 0; col < p; ++col) s_mat(t, col) = sym;
-      }
-      CMat& z = scratch_.z;
-      z.reshape(zr, p);
-      gemm(Op::kNone, cplx{1, 0}, a_block, s_mat, cplx{0, 0}, z,
-           scratch_.gemm_ws);
+      const index_t zr = full ? k : 1;
       ++result.stats.gemm_calls;
       result.stats.flops += gemm_flops(zr, p, k);
       result.stats.bytes_touched +=
@@ -149,7 +166,7 @@ void SdGemmDetector::search(const Preprocessed& pre, double sigma2,
       const cplx target = pre.ybar[static_cast<usize>(a)];
       for (index_t col = 0; col < p; ++col) {
         children[static_cast<usize>(col)] = {
-            col, parent_pd + norm2(target - z(0, col))};
+            col, parent_pd + norm2(target - z[static_cast<usize>(col)])};
       }
     } else {
       // Scalar (ablation) form: shared interference term once, then one
@@ -227,9 +244,14 @@ void SdGemmDetector::search(const Preprocessed& pre, double sigma2,
         ++result.stats.nodes_pruned;
         continue;
       }
-      const index_t depth = MetaStateTable::level_of(entry.id) + 1;
-      mst.path_symbols(entry.id, path);
-      expand(entry.id, depth, entry.pd);
+      // Pops are LIFO: every node expanded since this one was pushed
+      // descends from its parent, and none wrote a depth below `level`. So
+      // path[0, level) still holds its ancestors; only its symbol is new.
+      const index_t level = MetaStateTable::level_of(entry.id);
+      const index_t symbol = mst.get(entry.id).symbol;
+      path[static_cast<usize>(level)] = symbol;
+      decided[static_cast<usize>(m - 1 - level)] = c_->point(symbol);
+      expand(entry.id, level + 1, entry.pd);
     }
 
     result.stats.peak_list_size =

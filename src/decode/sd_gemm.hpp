@@ -7,7 +7,9 @@
 //  - Phase 2 (Evaluation): the children's partial distances are computed in
 //    one batched matrix product — the corresponding row block of R times the
 //    children's tree-state matrix — followed by a norm against ybar. This is
-//    the BLAS-2 -> BLAS-3 refactoring adopted from Arfaoui et al. [1].
+//    the BLAS-2 -> BLAS-3 refactoring adopted from Arfaoui et al. [1]. By
+//    default only row 0 of that product — the row the PD reads — is formed,
+//    bit-identically (LevelGemm, sphere_common.hpp).
 //  - Phase 3 (Pruning): children outside the sphere radius are cut; survivors
 //    are sorted by PD and inserted into the tree list so the best child is
 //    popped first (LIFO), which is the Best-FS strategy adopted from

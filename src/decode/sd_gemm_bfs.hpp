@@ -24,7 +24,11 @@
 namespace sd {
 
 struct BfsOptions {
-  SdOptions base = {RadiusPolicy::kNoiseScaled, 2.0};
+  /// The BFS keeps the paper-form full level product: it is the GPU model's
+  /// (Fig. 11) workload, and the wide/int16 paths are pinned against it.
+  SdOptions base = {.radius_policy = RadiusPolicy::kNoiseScaled,
+                    .radius_alpha = 2.0,
+                    .level_gemm = LevelGemm::kFull};
   /// Frontier cap (memory guard). When the surviving set of a level exceeds
   /// it, only the best `max_frontier` nodes are kept — the "heuristic to
   /// limit the search space" that GPU implementations resort to (§IV-F),

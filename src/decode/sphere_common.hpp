@@ -31,11 +31,11 @@ enum class RadiusPolicy : std::uint8_t {
 /// feed the device timing models. kRow0 computes just that row — a 1 x k by
 /// k x cols product — cutting the arithmetic by a factor of k while producing
 /// bit-identical PDs (each output element's reduction is unchanged; see
-/// DESIGN.md). It is an opt-in CPU fast path: default stays kFull so the
-/// paper-fidelity flop accounting and every golden constant are untouched.
+/// DESIGN.md §11). Best-FS defaults to kRow0; kFull stays as the paper-form
+/// reference, the CPU column of the time figures, and the BFS default.
 enum class LevelGemm : std::uint8_t {
-  kFull,  ///< full k x k trailing block product (paper-faithful; default)
-  kRow0   ///< only row 0 of the product (CPU fast path, same PDs bit-for-bit)
+  kFull,  ///< full k x k trailing block product (paper-faithful reference)
+  kRow0   ///< only row 0 of the product (same PDs bit-for-bit; default)
 };
 
 /// Options common to all tree-search detectors.
@@ -47,7 +47,7 @@ struct SdOptions {
   bool sorted_qr = false;         ///< use SQRD layer ordering (ablation)
   bool gemm_eval = true;          ///< batched GEMM child evaluation (paper)
                                   ///< vs scalar incremental (ablation)
-  LevelGemm level_gemm = LevelGemm::kFull;  ///< evaluation GEMM shape
+  LevelGemm level_gemm = LevelGemm::kRow0;  ///< evaluation GEMM shape
 };
 
 /// Result of detection preprocessing: the triangular system ybar = R s.

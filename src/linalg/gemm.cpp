@@ -251,6 +251,33 @@ void gemm_packed_scalar(Op op_a, cplx alpha, const CMat& a, const CMat& b,
   }
 }
 
+void gemm_row0_shared_tail(std::span<const cplx> a_row,
+                           std::span<const cplx> head,
+                           std::span<const cplx> tail, std::span<cplx> out) {
+  SD_CHECK(!a_row.empty() && tail.size() + 1 == a_row.size(),
+           "row-0 GEMM needs k = tail length + 1 >= 1 coefficients");
+  SD_CHECK(out.size() == head.size(), "row-0 GEMM output length must be n");
+  const usize k = a_row.size();
+  const usize kc = static_cast<usize>(kGemmKc);
+  // First K panel: the column's own term, then the shared terms in order.
+  for (usize j = 0; j < out.size(); ++j) {
+    out[j] = cplx{0, 0} + a_row[0] * head[j];
+  }
+  const usize first_end = std::min(k, kc);
+  for (usize t = 1; t < first_end; ++t) {
+    const cplx term = a_row[t] * tail[t - 1];
+    for (cplx& v : out) v += term;
+  }
+  // Later panels carry no head term, so their partial sum is shared too.
+  for (usize pc = first_end; pc < k; pc += kc) {
+    cplx partial{0, 0};
+    for (usize t = pc; t < std::min(k, pc + kc); ++t) {
+      partial += a_row[t] * tail[t - 1];
+    }
+    for (cplx& v : out) v += partial;
+  }
+}
+
 namespace {
 
 void check_grouped_shapes(const CMat& a_stack, index_t k, const CMat& b,

@@ -99,6 +99,23 @@ void gemm(Op op_a, cplx alpha, const CMat& a, const CMat& b, cplx beta,
 void gemm(Op op_a, cplx alpha, const CMat& a, const CMat& b, cplx beta,
           CMat& c, GemmWorkspace& ws);
 
+/// Row 0 of a product A * S whose k x n right operand shares every row but
+/// the first, without forming S or the other rows of the product:
+///   out[j] = a_row[0] * head[j] + sum_{t >= 1} a_row[t] * tail[t - 1].
+/// This is the Best-FS partial-distance row: a_row = R(a, a:m), head = the P
+/// candidate symbols, tail = the parent path's symbols in row order. k is
+/// a_row.size() == tail.size() + 1; n is head.size() == out.size().
+///
+/// Each element reduces in ascending t from a zero accumulator with no FMA
+/// contraction — the order gemm_naive and the packed kernels use within one
+/// K panel (and, past kGemmKc, gemm_packed's per-panel partial sums) — so
+/// out[j] equals element (0, j) of gemm() on the materialised operands. The
+/// shared terms a_row[t] * tail[t-1] are each rounded once and added to
+/// every column, which is the same arithmetic, not a reassociation.
+void gemm_row0_shared_tail(std::span<const cplx> a_row,
+                           std::span<const cplx> head,
+                           std::span<const cplx> tail, std::span<cplx> out);
+
 /// One slice of a grouped (block-diagonal) GEMM. The group's A block is the
 /// zr x k sub-matrix of the stacked operand starting at column `a_col`; it
 /// applies to the `cols` B/C columns starting at `col`.

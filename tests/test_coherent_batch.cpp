@@ -78,9 +78,9 @@ std::vector<NamedDetector> detector_zoo() {
     o.gemm_eval = false;
     return std::make_unique<SdGemmDetector>(c, o);
   });
-  add("bestfs-row0", [&c] {
+  add("bestfs-full", [&c] {
     SdOptions o;
-    o.level_gemm = LevelGemm::kRow0;
+    o.level_gemm = LevelGemm::kFull;
     return std::make_unique<SdGemmDetector>(c, o);
   });
   add("bfs", [&c] { return std::make_unique<SdGemmBfsDetector>(c); });

@@ -5,7 +5,7 @@
 // safe: (1) a warm detector produces bit-identical results to a fresh one —
 // on the same problem, on different problems in sequence, and across problem
 // SHAPE changes (which exercise the Mat::reshape and MST-rebuild paths);
-// (2) LevelGemm::kRow0 — the opt-in 1 x k evaluation product — matches the
+// (2) LevelGemm::kRow0 — the 1 x k evaluation product — matches the
 // full k x k product decode bit-for-bit while charging fewer flops.
 //
 // The ScratchIsolation suite drives concurrent per-thread detector clones
@@ -93,19 +93,39 @@ TEST(DecodeScratch, ShapeChangesRecycleCleanly) {
 
 TEST(DecodeScratch, Row0MatchesFullLevelGemmBestFs) {
   const Constellation& c = Constellation::get(Modulation::kQam16);
-  SdOptions row0_opts;
-  row0_opts.level_gemm = LevelGemm::kRow0;
-  SdGemmDetector full(c);
-  SdGemmDetector row0(c, row0_opts);
-  for (std::uint64_t trial = 0; trial < 12; ++trial) {
-    const CMat h = testing::random_cmat(6, 6, 500 + trial);
-    const CVec y = testing::random_cvec(6, 600 + trial);
-    const DecodeResult rf = full.decode(h, y, kSigma2);
-    const DecodeResult r0 = row0.decode(h, y, kSigma2);
-    expect_same_result(rf, r0, "row0 Best-FS");
-    // Same GEMM count, strictly less arithmetic: only row 0 is formed.
-    EXPECT_LT(r0.stats.flops, rf.stats.flops);
-    EXPECT_LT(r0.stats.bytes_touched, rf.stats.bytes_touched);
+  // Three search shapes: the default unbounded radius; a noise-scaled radius
+  // small enough that the first sphere is empty, so the retry re-expands the
+  // root over a stale path; and a node budget that stops mid-descent.
+  SdOptions retry;
+  retry.radius_policy = RadiusPolicy::kNoiseScaled;
+  retry.radius_alpha = 0.05;
+  SdOptions budget;
+  budget.max_nodes = 7;
+  const SdOptions shapes[] = {SdOptions{}, retry, budget};
+  for (const SdOptions& shape : shapes) {
+    SdOptions full_opts = shape;
+    full_opts.level_gemm = LevelGemm::kFull;
+    SdOptions row0_opts = shape;
+    row0_opts.level_gemm = LevelGemm::kRow0;
+    SdGemmDetector full(c, full_opts);
+    SdGemmDetector row0(c, row0_opts);
+    for (std::uint64_t trial = 0; trial < 12; ++trial) {
+      const CMat h = testing::random_cmat(6, 6, 500 + trial);
+      const CVec y = testing::random_cvec(6, 600 + trial);
+      const DecodeResult rf = full.decode(h, y, kSigma2);
+      const DecodeResult r0 = row0.decode(h, y, kSigma2);
+      expect_same_result(rf, r0, "row0 Best-FS");
+      EXPECT_EQ(rf.stats.node_budget_hit, r0.stats.node_budget_hit);
+      EXPECT_EQ(rf.stats.radius_updates, r0.stats.radius_updates);
+      // Same GEMM count, strictly less arithmetic: only row 0 is formed.
+      EXPECT_LT(r0.stats.flops, rf.stats.flops);
+      EXPECT_LT(r0.stats.bytes_touched, rf.stats.bytes_touched);
+      if (&shape == &shapes[1]) {
+        // The answer lies outside the first sphere: a retry produced it.
+        EXPECT_GT(rf.metric, initial_radius_sq(retry, kSigma2, 6));
+      }
+      if (&shape == &shapes[2]) EXPECT_TRUE(rf.stats.node_budget_hit);
+    }
   }
 }
 

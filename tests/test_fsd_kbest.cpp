@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/error.hpp"
 #include "decode/fsd.hpp"
 #include "decode/kbest.hpp"
@@ -70,6 +73,38 @@ TEST(Fsd, MetricNeverBeatsMl) {
     const double ml_metric = ml.decode(t.h, t.y, t.sigma2).metric;
     EXPECT_GE(fsd_metric, ml_metric - 1e-3 * (1 + ml_metric));
   }
+}
+
+// A NaN or overflowing received vector makes every path distance NaN or Inf,
+// so no path ever beats the initial incumbent. The detector must still
+// answer with a full, in-range index vector instead of reading an empty one.
+void expect_defined_answer(const DecodeResult& r, index_t m, index_t order) {
+  ASSERT_EQ(r.indices.size(), static_cast<usize>(m));
+  ASSERT_EQ(r.symbols.size(), static_cast<usize>(m));
+  for (const index_t idx : r.indices) {
+    EXPECT_GE(idx, 0);
+    EXPECT_LT(idx, order);
+  }
+}
+
+TEST(Fsd, NanReceivedVectorGivesFullAnswer) {
+  const Constellation& c = Constellation::get(Modulation::kQam4);
+  FsdDetector fsd(c);
+  Trial t = make_trial(8, Modulation::kQam4, 10.0, 3);
+  t.y[0] = cplx{std::numeric_limits<real>::quiet_NaN(), 0};
+  const DecodeResult r = fsd.decode(t.h, t.y, t.sigma2);
+  expect_defined_answer(r, 8, c.order());
+  EXPECT_TRUE(std::isnan(r.metric));
+}
+
+TEST(Fsd, OverflowingReceivedVectorGivesFullAnswer) {
+  const Constellation& c = Constellation::get(Modulation::kQam4);
+  FsdDetector fsd(c);
+  Trial t = make_trial(8, Modulation::kQam4, 10.0, 4);
+  for (cplx& v : t.y) v *= real{1e30};
+  const DecodeResult r = fsd.decode(t.h, t.y, t.sigma2);
+  expect_defined_answer(r, 8, c.order());
+  EXPECT_FALSE(std::isfinite(r.metric));
 }
 
 TEST(KBest, FullWidthEqualsMl) {

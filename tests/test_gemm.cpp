@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "linalg/norms.hpp"
+#include "mimo/constellation.hpp"
 #include "test_util.hpp"
 
 namespace sd {
@@ -274,6 +278,68 @@ TEST(GemmDispatch, FastPathShapesStillAgreeWithBothKernels) {
   gemm_packed(Op::kNone, cplx{1, 0}, a, b, cplx{0, 0}, c_packed);
   expect_bitwise_equal(c_dispatch, c_naive);
   expect_bitwise_equal(c_dispatch, c_packed);
+}
+
+// ---- Best-FS row-0 kernel against the materialised level product
+
+TEST(GemmRow0, SharedTailMatchesRowZeroOfFullProductBitwise) {
+  // The sphere decoder's level product: the upper-triangular k x k block of R
+  // times S, whose column j holds candidate symbol j on top of the parent
+  // path shared by every column. Row 0 from gemm() on the materialised
+  // operands must give the same partial distances, bit for bit, under both
+  // packed kernels. 64-QAM at k >= 9 and k = kGemmKc + 3 take the packed
+  // path (the latter across two K panels); the rest take gemm_naive.
+  const GemmKernel saved = gemm_kernel_override();
+  std::vector<index_t> ks;
+  for (index_t k = 1; k <= 16; ++k) ks.push_back(k);
+  ks.push_back(kGemmKc + 3);
+  for (const GemmKernel kernel : {GemmKernel::kScalar, GemmKernel::kSoa}) {
+    set_gemm_kernel_override(kernel);
+    for (const Modulation mod :
+         {Modulation::kQam4, Modulation::kQam16, Modulation::kQam64}) {
+      const Constellation& c = Constellation::get(mod);
+      const index_t p = c.order();
+      for (const index_t k : ks) {
+        const std::uint64_t seed = 900 + static_cast<std::uint64_t>(k);
+        CMat a_block = testing::random_cmat(k, k, seed);
+        for (index_t r = 1; r < k; ++r) {
+          for (index_t t = 0; t < r; ++t) a_block(r, t) = cplx{0, 0};
+        }
+        CVec tail(static_cast<usize>(k - 1));
+        CMat s_mat(k, p);
+        for (index_t col = 0; col < p; ++col) s_mat(0, col) = c.point(col);
+        for (index_t t = 1; t < k; ++t) {
+          const cplx sym = c.point((7 * t + 3) % p);
+          tail[static_cast<usize>(t - 1)] = sym;
+          for (index_t col = 0; col < p; ++col) s_mat(t, col) = sym;
+        }
+        CMat z(k, p);
+        gemm(Op::kNone, cplx{1, 0}, a_block, s_mat, cplx{0, 0}, z);
+        CVec row(static_cast<usize>(p));
+        gemm_row0_shared_tail(a_block.row(0), c.points(), tail, row);
+        const cplx target = testing::random_cvec(1, seed + 1)[0];
+        for (index_t col = 0; col < p; ++col) {
+          const cplx got = row[static_cast<usize>(col)];
+          EXPECT_EQ(z(0, col), got) << "k=" << k << " col=" << col;
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(norm2(target - z(0, col))),
+                    std::bit_cast<std::uint32_t>(norm2(target - got)))
+              << "k=" << k << " p=" << p << " col=" << col;
+        }
+      }
+    }
+  }
+  set_gemm_kernel_override(saved);
+}
+
+TEST(GemmRow0, RejectsMismatchedLengths) {
+  const CVec a_row(3), head(4), tail(1);
+  CVec out(4);
+  EXPECT_THROW(gemm_row0_shared_tail(a_row, head, tail, out),
+               invalid_argument_error);
+  const CVec tail2(2);
+  CVec short_out(3);
+  EXPECT_THROW(gemm_row0_shared_tail(a_row, head, tail2, short_out),
+               invalid_argument_error);
 }
 
 }  // namespace
