@@ -36,11 +36,6 @@ void DecodeStats::export_counters(obs::CounterRegistry& registry,
   registry.set(p + "search_seconds", search_seconds);
 }
 
-void Detector::decode_into(const CMat& h, std::span<const cplx> y,
-                           double sigma2, DecodeResult& out) {
-  out = decode(h, y, sigma2);
-}
-
 void Detector::decode_with(const PreprocessedChannel& prep,
                            std::span<const cplx> y, double sigma2,
                            DecodeResult& out) {

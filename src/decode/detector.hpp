@@ -74,7 +74,7 @@ struct DecodeResult {
   }
 };
 
-/// Abstract detector. decode() is safe to call repeatedly with different
+/// Abstract detector. decode_into() is safe to call repeatedly with different
 /// channels, but an instance may own reusable search scratch
 /// (decode/decode_scratch.hpp), so a single instance must NOT be driven from
 /// multiple threads concurrently — clone one per thread, as the serve and
@@ -86,19 +86,22 @@ class Detector {
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// Detects the transmitted vector from the received y (length N) given the
-  /// channel estimate h (N x M) and noise variance sigma2.
-  [[nodiscard]] virtual DecodeResult decode(const CMat& h,
-                                            std::span<const cplx> y,
-                                            double sigma2) = 0;
+  /// channel estimate h (N x M) and noise variance sigma2. A convenience
+  /// wrapper: returns what decode_into() writes into a fresh result.
+  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
+                                    double sigma2) {
+    DecodeResult result;
+    decode_into(h, y, sigma2, result);
+    return result;
+  }
 
-  /// Allocation-aware decode: writes into `out`, reusing its capacity (the
-  /// caller need not reset() it first). The base implementation forwards to
-  /// decode(); detectors with internal scratch override this as the primary
-  /// entry point and implement decode() as a wrapper, which together with the
-  /// scratch reuse makes their steady-state decodes heap-allocation-free.
-  /// Results are bitwise-identical to decode() either way.
+  /// The one-shot decode every detector implements: writes into `out`,
+  /// reusing its capacity (the caller need not reset() it first). Detectors
+  /// with internal scratch (decode/decode_scratch.hpp) recycle it here, which
+  /// together with the capacity reuse makes their steady-state decodes
+  /// heap-allocation-free.
   virtual void decode_into(const CMat& h, std::span<const cplx> y,
-                           double sigma2, DecodeResult& out);
+                           double sigma2, DecodeResult& out) = 0;
 
   // ---- Two-phase (channel-split) decoding ----------------------------------
   //

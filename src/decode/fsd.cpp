@@ -14,17 +14,17 @@ FsdDetector::FsdDetector(const Constellation& constellation,
   SD_CHECK(opts_.full_levels >= 1, "FSD needs at least one full level");
 }
 
-DecodeResult FsdDetector::decode(const CMat& h, std::span<const cplx> y,
-                                 double /*sigma2*/) {
+void FsdDetector::decode_into(const CMat& h, std::span<const cplx> y,
+                              double /*sigma2*/, DecodeResult& out) {
   SD_TRACE_SPAN("decode");
-  DecodeResult result;
+  out.reset();
   const Preprocessed pre = sd::preprocess(h, y, opts_.sorted_qr);
-  result.stats.preprocess_seconds = pre.seconds;
+  out.stats.preprocess_seconds = pre.seconds;
 
   const index_t m = pre.r.rows();
   const index_t p = c_->order();
   const index_t full = std::min(opts_.full_levels, m);
-  result.stats.tree_levels = static_cast<std::uint64_t>(m);
+  out.stats.tree_levels = static_cast<std::uint64_t>(m);
 
   Timer timer;
 
@@ -57,28 +57,27 @@ DecodeResult FsdDetector::decode(const CMat& h, std::span<const cplx> y,
         path[static_cast<usize>(d)] = c_->slice(b / pre.r(a, a));
       }
       pd += norm2(b - pre.r(a, a) * c_->point(path[static_cast<usize>(d)]));
-      ++result.stats.nodes_generated;
+      ++out.stats.nodes_generated;
     }
-    ++result.stats.leaves_reached;
+    ++out.stats.leaves_reached;
     // The first path seeds the incumbent: a NaN or overflowed PD never
     // compares less, and the answer must still be a full index vector.
     if (pi == 0 || pd < best_pd) {
       best_pd = pd;
       best_path = path;
-      ++result.stats.radius_updates;
+      ++out.stats.radius_updates;
     }
   }
-  result.stats.nodes_expanded = num_paths;
+  out.stats.nodes_expanded = num_paths;
 
   std::vector<index_t> layered(static_cast<usize>(m));
   for (index_t d = 0; d < m; ++d) {
     layered[static_cast<usize>(m - 1 - d)] = best_path[static_cast<usize>(d)];
   }
-  result.indices = to_antenna_order(pre, layered);
-  result.metric = best_pd;
-  result.stats.search_seconds = timer.elapsed_seconds();
-  materialize_symbols(*c_, result);
-  return result;
+  out.indices = to_antenna_order(pre, layered);
+  out.metric = best_pd;
+  out.stats.search_seconds = timer.elapsed_seconds();
+  materialize_symbols(*c_, out);
 }
 
 }  // namespace sd

@@ -24,14 +24,13 @@ KBestDetector::KBestDetector(const Constellation& constellation,
   SD_CHECK(opts_.k >= 1, "K must be at least 1");
 }
 
-DecodeResult KBestDetector::decode(const CMat& h, std::span<const cplx> y,
-                                   double /*sigma2*/) {
+void KBestDetector::decode_into(const CMat& h, std::span<const cplx> y,
+                                double /*sigma2*/, DecodeResult& out) {
   SD_TRACE_SPAN("decode");
-  DecodeResult result;
+  out.reset();
   const Preprocessed pre = sd::preprocess(h, y, opts_.sorted_qr);
-  result.stats.preprocess_seconds = pre.seconds;
-  search(pre, result);
-  return result;
+  out.stats.preprocess_seconds = pre.seconds;
+  search(pre, out);
 }
 
 void KBestDetector::decode_with(const PreprocessedChannel& prep,

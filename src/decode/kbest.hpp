@@ -23,8 +23,8 @@ class KBestDetector final : public Detector {
 
   [[nodiscard]] std::string_view name() const override { return "K-Best"; }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
+  void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
+                   DecodeResult& out) override;
 
   /// Channel-split phase: the QR (SQRD by default) is cacheable.
   [[nodiscard]] PrepKind prep_kind() const noexcept override {

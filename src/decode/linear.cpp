@@ -19,11 +19,11 @@ std::string_view linear_kind_name(LinearKind kind) noexcept {
   return "?";
 }
 
-DecodeResult LinearDetector::decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) {
+void LinearDetector::decode_into(const CMat& h, std::span<const cplx> y,
+                                 double sigma2, DecodeResult& out) {
   SD_TRACE_SPAN("decode");
   SD_CHECK(h.rows() == static_cast<index_t>(y.size()), "y length mismatch");
-  DecodeResult result;
+  out.reset();
   const index_t m = h.cols();
 
   Timer pre_timer;
@@ -32,7 +32,7 @@ DecodeResult LinearDetector::decode(const CMat& h, std::span<const cplx> y,
     case LinearKind::kMrc: {
       // Per-stream matched filter: s_i = h_i^H y / ||h_i||^2. Ignores
       // inter-stream interference entirely (hence its poor BER for M > 1).
-      result.stats.preprocess_seconds = pre_timer.elapsed_seconds();
+      out.stats.preprocess_seconds = pre_timer.elapsed_seconds();
       Timer search_timer;
       for (index_t j = 0; j < m; ++j) {
         cplx dot{0, 0};
@@ -43,7 +43,7 @@ DecodeResult LinearDetector::decode(const CMat& h, std::span<const cplx> y,
         }
         est[static_cast<usize>(j)] = dot / static_cast<real>(colnorm);
       }
-      result.stats.search_seconds = search_timer.elapsed_seconds();
+      out.stats.search_seconds = search_timer.elapsed_seconds();
       break;
     }
     case LinearKind::kZf:
@@ -51,18 +51,17 @@ DecodeResult LinearDetector::decode(const CMat& h, std::span<const cplx> y,
       const CMat w = (kind_ == LinearKind::kZf)
                          ? zf_equalizer(h)
                          : mmse_equalizer(h, static_cast<real>(sigma2));
-      result.stats.preprocess_seconds = pre_timer.elapsed_seconds();
+      out.stats.preprocess_seconds = pre_timer.elapsed_seconds();
       Timer search_timer;
       gemv(Op::kNone, cplx{1, 0}, w, y, cplx{0, 0}, est);
-      result.stats.search_seconds = search_timer.elapsed_seconds();
+      out.stats.search_seconds = search_timer.elapsed_seconds();
       break;
     }
   }
 
-  result.indices = hard_slice(*c_, est);
-  materialize_symbols(*c_, result);
-  result.metric = residual_metric(h, y, result.symbols);
-  return result;
+  out.indices = hard_slice(*c_, est);
+  materialize_symbols(*c_, out);
+  out.metric = residual_metric(h, y, out.symbols);
 }
 
 void LinearDetector::decode_with(const PreprocessedChannel& prep,

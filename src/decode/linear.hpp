@@ -22,8 +22,8 @@ class LinearDetector final : public Detector {
     return linear_kind_name(kind_);
   }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
+  void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
+                   DecodeResult& out) override;
 
   /// ZF's equalizer W depends only on H, so it is cacheable. MMSE's W also
   /// depends on sigma2 (a per-frame input) and MRC has no setup worth

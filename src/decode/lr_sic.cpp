@@ -25,12 +25,12 @@ LrSicDetector::LrSicDetector(const Constellation& constellation,
   SD_ASSERT(axis_scale_ > real{0});
 }
 
-DecodeResult LrSicDetector::decode(const CMat& h, std::span<const cplx> y,
-                                   double /*sigma2*/) {
+void LrSicDetector::decode_into(const CMat& h, std::span<const cplx> y,
+                                double /*sigma2*/, DecodeResult& out) {
   SD_TRACE_SPAN("decode");
   const index_t m = h.cols();
   SD_CHECK(h.rows() == static_cast<index_t>(y.size()), "y length mismatch");
-  DecodeResult result;
+  out.reset();
   Timer pre_timer;
 
   // 1. Shift/scale so the transmit alphabet becomes u in {0..L-1}^2 Gaussian
@@ -46,7 +46,7 @@ DecodeResult LrSicDetector::decode(const CMat& h, std::span<const cplx> y,
   // 2. Reduce the basis and detect v (where u = T v) by SIC with plain
   //    rounding in the reduced, better-conditioned basis.
   const LllResult lll = lll_reduce(h, delta_);
-  result.stats.preprocess_seconds = pre_timer.elapsed_seconds();
+  out.stats.preprocess_seconds = pre_timer.elapsed_seconds();
   Timer search_timer;
 
   const QrFactorization qr(lll.reduced);
@@ -59,13 +59,13 @@ DecodeResult LrSicDetector::decode(const CMat& h, std::span<const cplx> y,
       acc -= r(i, j) * v[static_cast<usize>(j)];
     }
     v[static_cast<usize>(i)] = round_gaussian(acc / r(i, i));
-    ++result.stats.nodes_expanded;  // one SIC decision per layer
+    ++out.stats.nodes_expanded;  // one SIC decision per layer
   }
 
   // 3. Map back u = T v, clamp onto the constellation grid, re-symbolize.
   CVec u(static_cast<usize>(m), cplx{0, 0});
   gemv(Op::kNone, cplx{1, 0}, lll.t, v, cplx{0, 0}, u);
-  result.indices.resize(static_cast<usize>(m));
+  out.indices.resize(static_cast<usize>(m));
   for (index_t i = 0; i < m; ++i) {
     auto clamp_axis = [&](real x) {
       const auto k = static_cast<int>(std::lround(x));
@@ -76,12 +76,11 @@ DecodeResult LrSicDetector::decode(const CMat& h, std::span<const cplx> y,
     const cplx point{
         axis_scale_ * static_cast<real>(2 * ki - (levels_ - 1)),
         axis_scale_ * static_cast<real>(2 * kq - (levels_ - 1))};
-    result.indices[static_cast<usize>(i)] = c_->slice(point);
+    out.indices[static_cast<usize>(i)] = c_->slice(point);
   }
-  materialize_symbols(*c_, result);
-  result.metric = residual_metric(h, y, result.symbols);
-  result.stats.search_seconds = search_timer.elapsed_seconds();
-  return result;
+  materialize_symbols(*c_, out);
+  out.metric = residual_metric(h, y, out.symbols);
+  out.stats.search_seconds = search_timer.elapsed_seconds();
 }
 
 }  // namespace sd

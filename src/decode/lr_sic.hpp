@@ -21,8 +21,8 @@ class LrSicDetector final : public Detector {
 
   [[nodiscard]] std::string_view name() const override { return "LR-SIC"; }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
+  void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
+                   DecodeResult& out) override;
 
  private:
   const Constellation* c_;

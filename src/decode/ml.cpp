@@ -8,8 +8,8 @@
 
 namespace sd {
 
-DecodeResult MlDetector::decode(const CMat& h, std::span<const cplx> y,
-                                double /*sigma2*/) {
+void MlDetector::decode_into(const CMat& h, std::span<const cplx> y,
+                             double /*sigma2*/, DecodeResult& out) {
   SD_TRACE_SPAN("decode");
   const index_t m = h.cols();
   const index_t n = h.rows();
@@ -23,8 +23,8 @@ DecodeResult MlDetector::decode(const CMat& h, std::span<const cplx> y,
   std::uint64_t total = 1;
   for (index_t j = 0; j < m; ++j) total *= static_cast<std::uint64_t>(order);
 
-  DecodeResult result;
-  result.indices.assign(static_cast<usize>(m), 0);
+  out.reset();
+  out.indices.assign(static_cast<usize>(m), 0);
   Timer timer;
 
   std::vector<index_t> current(static_cast<usize>(m), 0);
@@ -50,11 +50,11 @@ DecodeResult MlDetector::decode(const CMat& h, std::span<const cplx> y,
           static_cast<cplxd>(y[static_cast<usize>(i)]) - hs[static_cast<usize>(i)];
       metric += diff.real() * diff.real() + diff.imag() * diff.imag();
     }
-    ++result.stats.leaves_reached;
+    ++out.stats.leaves_reached;
     if (metric < best) {
       best = metric;
-      result.indices = current;
-      ++result.stats.radius_updates;
+      out.indices = current;
+      ++out.stats.radius_updates;
     }
     if (iter + 1 == total) break;
 
@@ -75,10 +75,9 @@ DecodeResult MlDetector::decode(const CMat& h, std::span<const cplx> y,
     }
   }
 
-  result.stats.search_seconds = timer.elapsed_seconds();
-  result.metric = best;
-  materialize_symbols(*c_, result);
-  return result;
+  out.stats.search_seconds = timer.elapsed_seconds();
+  out.metric = best;
+  materialize_symbols(*c_, out);
 }
 
 }  // namespace sd

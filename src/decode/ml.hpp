@@ -18,8 +18,8 @@ class MlDetector final : public Detector {
 
   /// Throws sd::invalid_argument_error if |Ω|^M exceeds 2^26 candidates —
   /// beyond that the exhaustive search is a programming error, not a plan.
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
+  void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
+                   DecodeResult& out) override;
 
  private:
   const Constellation* c_;

@@ -156,14 +156,6 @@ void MmseNeumannDetector::decode_into(const CMat& h, std::span<const cplx> y,
   cache_gdata_ = nullptr;
 }
 
-DecodeResult MmseNeumannDetector::decode(const CMat& h,
-                                         std::span<const cplx> y,
-                                         double sigma2) {
-  DecodeResult out;
-  decode_into(h, y, sigma2, out);
-  return out;
-}
-
 void MmseNeumannDetector::decode_with(const PreprocessedChannel& prep,
                                       std::span<const cplx> y, double sigma2,
                                       DecodeResult& out) {

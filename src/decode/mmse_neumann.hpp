@@ -45,9 +45,6 @@ class MmseNeumannDetector final : public Detector {
     return "MMSE-Neumann";
   }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
-
   void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
                    DecodeResult& out) override;
 

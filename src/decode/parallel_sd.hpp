@@ -2,11 +2,13 @@
 //
 // The search tree is partitioned at a configurable split depth into
 // |Omega|^split_depth nearly independent sub-trees, processed by a pool of
-// worker threads ("Processing Entities"). Workers share the sphere radius
-// through an atomic so an improvement found in one sub-tree immediately
-// prunes the others — the synchronization pattern Nikitopoulos et al. [4]
-// identify as the one unavoidable coupling point. Sub-trees are dispatched
-// best-first (sorted by their root PD), which front-loads radius shrinkage.
+// worker threads ("Processing Entities"). Sub-trees are dealt out best-first
+// (sorted by their root PD), which front-loads radius shrinkage. Workers
+// share the sphere radius — the one coupling point Nikitopoulos et al. [4]
+// identify — but only at round barriers: each round hands every worker one
+// sub-tree, and the radius published between rounds is the minimum of the
+// workers' bests. The work every worker does is therefore a function of the
+// input and the worker count alone, so node counts are reproducible.
 #pragma once
 
 #include <utility>
@@ -30,11 +32,9 @@ class ParallelSdDetector final : public Detector {
 
   [[nodiscard]] std::string_view name() const override { return "SD-MultiPE"; }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
-
-  /// Allocation-aware decode; preprocessing and partition scratch are reused
-  /// across calls (the per-decode thread pool itself still allocates).
+  /// One-frame decode through the sub-tree engine (a width-1 wide decode).
+  /// Preprocessing and partition scratch are reused across calls; the
+  /// per-decode worker threads still allocate.
   void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
                    DecodeResult& out) override;
 
@@ -50,21 +50,19 @@ class ParallelSdDetector final : public Detector {
 
   /// Cross-channel wide decode (DESIGN.md §16): every frame's sub-tree
   /// partition is flattened into ONE work-unit list, interleaved round-robin
-  /// across frames in each frame's best-first rank order, and assigned
-  /// STATICALLY to workers (unit j -> worker j mod W). Each frame keeps its
-  /// own shared radius (lock-free monotone CAS-min, publication-only), and
-  /// per-(worker, frame) local bests are reduced after the join in worker
-  /// order — a deterministic reduction, so the detected indices and metric
-  /// are bit-identical to sequential decode_with() for any worker count.
+  /// across frames in each frame's best-first rank order, and dealt out in
+  /// rounds of W units (unit j -> worker j mod W). Per-frame radii are
+  /// published only at the round barriers, folded in worker order, and the
+  /// per-(worker, frame) bests are reduced after the join in worker order.
+  /// Indices and metric are bit-identical to sequential decode_with() for
+  /// any worker count; every DecodeStats counter depends only on the inputs
+  /// and the worker count.
   void decode_wide(std::span<WideItem> items) override;
-
-  /// Search on a preprocessed system (stats accumulate across workers).
-  void search(const Preprocessed& pre, double sigma2, DecodeResult& result);
 
  private:
   /// Per-worker ("Processing Entity") reusable traversal state. Workers
   /// index their own slot, so slots are touched by one thread at a time;
-  /// the buffers persist across decode() calls.
+  /// the buffers persist across decodes.
   struct PeScratch {
     struct Level {
       std::vector<ScratchChild> ordered;
@@ -74,9 +72,9 @@ class ParallelSdDetector final : public Detector {
     std::vector<Level> levels;
   };
 
-  /// Per-frame state for decode_wide: the preprocessed system plus this
-  /// frame's flat sub-tree partition. Slots persist across calls so the
-  /// partition buffers are recycled.
+  /// Per-frame state: the preprocessed system plus this frame's flat
+  /// sub-tree partition. Slots persist across calls so the partition
+  /// buffers are recycled.
   struct WideSlot {
     Preprocessed pre;
     std::vector<index_t> prefix_flat;
@@ -88,33 +86,47 @@ class ParallelSdDetector final : public Detector {
     DecodeResult* out = nullptr;
   };
 
-  /// Shared partition phase: enumerates the |Omega|^split prefixes of `pre`
-  /// into `flat` (count x split, row-major) with PDs in `pd` and the
-  /// best-first sort permutation in `order`. Returns the sub-tree count and
-  /// accumulates partition-phase node counters into `stats`.
+  /// One worker's best leaf for one frame so far, and the work it spent on
+  /// that frame. Written only by its worker; read at barriers and the join.
+  struct WorkerBest {
+    double pd = std::numeric_limits<double>::infinity();
+    std::vector<index_t> path;
+    DecodeStats stats;
+  };
+
+  /// Resets `out` and binds it to frame slot `si` (growing the slot list).
+  WideSlot& open_slot(usize si, double sigma2, DecodeResult& out);
+
+  /// The sub-tree engine: partitions, searches and reduces frame slots
+  /// [0, nslots), whose `pre` must already be filled, into their outputs.
+  void search_slots(usize nslots);
+
+  /// Depth-first search of work unit `unit` by worker `wi`.
+  void search_unit(unsigned wi, usize unit, usize nslots);
+
+  /// Partition phase: enumerates the |Omega|^split prefixes of `pre` into
+  /// `flat` (count x split, row-major) with PDs in `pd` and the best-first
+  /// sort permutation in `order`. Returns the sub-tree count and accumulates
+  /// partition-phase node counters into `stats`.
   usize partition_prefixes(const Preprocessed& pre, index_t split,
                            std::vector<index_t>& flat, std::vector<real>& pd,
                            std::vector<usize>& order, DecodeStats& stats);
 
   const Constellation* c_;
   ParallelSdOptions opts_;
-  DecodeScratch scratch_;  ///< preprocessing + best_path/layered reuse
+  PreprocessScratch prep_scratch_;
+  std::vector<index_t> layered_;
 
-  // Partition-phase scratch: sub-tree prefixes stored FLAT (count x depth,
-  // row-major) with a parallel PD array and a sort permutation, replacing the
-  // per-sub-tree vectors that used to be allocated fresh every decode.
-  std::vector<index_t> prefix_flat_;
+  // Partition ping-pong scratch (the final generation lands in the slot).
   std::vector<index_t> prefix_flat_next_;
-  std::vector<real> prefix_pd_;
   std::vector<real> prefix_pd_next_;
-  std::vector<usize> subtree_order_;
 
   std::vector<PeScratch> workers_;
-
-  // decode_wide state: per-frame slots and the interleaved (frame, rank)
-  // work units.
   std::vector<WideSlot> wide_slots_;
+  /// The interleaved (frame slot, best-first rank) work units.
   std::vector<std::pair<usize, usize>> wide_units_;
+  std::vector<WorkerBest> bests_;  ///< worker-major: [wi * nslots + si]
+  std::vector<double> radii_;      ///< per-frame radius published at barriers
 };
 
 }  // namespace sd

@@ -29,15 +29,14 @@ SdDfsDetector::SdDfsDetector(const Constellation& constellation,
                              SdOptions options)
     : c_(&constellation), opts_(options) {}
 
-DecodeResult SdDfsDetector::decode(const CMat& h, std::span<const cplx> y,
-                                   double sigma2) {
+void SdDfsDetector::decode_into(const CMat& h, std::span<const cplx> y,
+                                double sigma2, DecodeResult& out) {
   SD_TRACE_SPAN("decode");
-  DecodeResult result;
+  out.reset();
   const Preprocessed pre = sd::preprocess(h, y, opts_.sorted_qr);
-  result.stats.preprocess_seconds = pre.seconds;
-  search(pre, sigma2, result);
-  materialize_symbols(*c_, result);
-  return result;
+  out.stats.preprocess_seconds = pre.seconds;
+  search(pre, sigma2, out);
+  materialize_symbols(*c_, out);
 }
 
 void SdDfsDetector::search(const Preprocessed& pre, double sigma2,

@@ -24,8 +24,8 @@ class SdDfsDetector final : public Detector {
 
   [[nodiscard]] const SdOptions& options() const noexcept { return opts_; }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
+  void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
+                   DecodeResult& out) override;
 
   /// Tree search on an already-preprocessed system (see SdGemmDetector).
   void search(const Preprocessed& pre, double sigma2, DecodeResult& result);

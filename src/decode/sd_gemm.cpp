@@ -28,13 +28,6 @@ SdGemmDetector::SdGemmDetector(const Constellation& constellation,
                                SdOptions options)
     : c_(&constellation), opts_(options) {}
 
-DecodeResult SdGemmDetector::decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) {
-  DecodeResult result;
-  decode_into(h, y, sigma2, result);
-  return result;
-}
-
 void SdGemmDetector::decode_into(const CMat& h, std::span<const cplx> y,
                                  double sigma2, DecodeResult& out) {
   SD_TRACE_SPAN("decode");

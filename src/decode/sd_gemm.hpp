@@ -36,11 +36,8 @@ class SdGemmDetector final : public Detector {
 
   [[nodiscard]] const SdOptions& options() const noexcept { return opts_; }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
-
-  /// Primary entry point: allocation-free in steady state (the scratch and
-  /// `out` reach their high-water capacity and are then recycled).
+  /// Allocation-free in steady state (the scratch and `out` reach their
+  /// high-water capacity and are then recycled).
   void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
                    DecodeResult& out) override;
 

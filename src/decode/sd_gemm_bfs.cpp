@@ -285,13 +285,6 @@ SdGemmBfsDetector::SdGemmBfsDetector(const Constellation& constellation,
 
 SdGemmBfsDetector::~SdGemmBfsDetector() = default;
 
-DecodeResult SdGemmBfsDetector::decode(const CMat& h, std::span<const cplx> y,
-                                       double sigma2) {
-  DecodeResult result;
-  decode_into(h, y, sigma2, result);
-  return result;
-}
-
 void SdGemmBfsDetector::decode_into(const CMat& h, std::span<const cplx> y,
                                     double sigma2, DecodeResult& out) {
   SD_TRACE_SPAN("decode");

@@ -8,13 +8,14 @@
 // enabled backend (CPU lanes) take work from their most-backlogged sibling,
 // so a mispredicted placement costs occupancy, not latency.
 //
-// Three substrates:
-//   - CpuBackend: one detector per lane built from an arbitrary DecoderSpec.
-//   - FpgaBackend: each lane drives a simulated FpgaPipeline design point and
-//     is paced to the *charged* device time (cycle model) plus a configurable
+// One Backend class serves every substrate; its kind is data that selects
+// the cost-model rate priors:
+//   - cpu: one detector per lane built from an arbitrary DecoderSpec.
+//   - fpga: each lane drives a simulated FpgaPipeline design point and is
+//     paced to the *charged* device time (cycle model) plus a configurable
 //     host<->device RTT — the accelerator round trip a host thread blocks on.
 //     Any other entry with an `rtt-ms=` field is paced the same way.
-//   - ParallelSdBackend: lanes own multi-threaded sub-tree SD detectors.
+//   - parallel-sd: lanes own multi-threaded sub-tree SD detectors.
 #pragma once
 
 #include <condition_variable>
@@ -61,7 +62,7 @@ struct BackendConfig {
   /// happen under the same queue mutex as work stealing, so a claimed frame
   /// can never be stolen or decoded twice. Requires fuse_cross_channel; no-op
   /// for single-lane backends. Paced backends gather too — the run pays one
-  /// RTT and sleeps to its summed charged time (see process_fused).
+  /// RTT and sleeps to its summed charged time (see process_run).
   bool cross_lane_former = true;
   /// Hard cap on frames per formed wide run (own pop + cross-lane gather).
   usize max_wide_width = 32;
@@ -108,15 +109,9 @@ class LaneSink {
   virtual void frame_retired(const PlacedFrame& placed,
                              serve::FrameResult&& result) = 0;
   /// `placed` moved from lane `placed.lane` to `thief_lane` before decoding.
+  /// The wide-batch former's cross-lane claims report here too: the
+  /// dispatcher-side accounting is the same rebinding a steal needs.
   virtual void frame_stolen(const PlacedFrame& placed, unsigned thief_lane) = 0;
-  /// The wide-batch former claimed `placed` from lane `placed.lane` into a
-  /// wide run executing on `gatherer_lane`. The dispatcher-side accounting
-  /// is the same rebinding a steal needs, so the default forwards there;
-  /// sinks that distinguish the two can override.
-  virtual void frame_gathered(const PlacedFrame& placed,
-                              unsigned gatherer_lane) {
-    frame_stolen(placed, gatherer_lane);
-  }
 };
 
 class Backend {
@@ -155,10 +150,12 @@ class Backend {
     std::vector<serve::WorkerStats> lanes;  ///< utilization filled by caller
   };
 
-  /// Validates the config and eagerly builds (and discards) one detector so
-  /// an unbuildable spec fails in the constructing thread, not in a lane.
+  /// Validates the config — an fpga kind needs an @fpga decoder and is
+  /// paced, a parallel-sd kind needs multipe — and eagerly builds (and
+  /// discards) one detector so an unbuildable spec fails in the constructing
+  /// thread, not in a lane.
   Backend(SystemConfig system, BackendConfig config);
-  virtual ~Backend();
+  ~Backend();
 
   Backend(const Backend&) = delete;
   Backend& operator=(const Backend&) = delete;
@@ -196,37 +193,32 @@ class Backend {
     return ladder_;
   }
 
- protected:
-  /// Builds one lane's primary detector. Overridable for tests.
-  [[nodiscard]] virtual std::unique_ptr<Detector> make_lane_detector() const;
-
  private:
+  /// Per-lane buffers for one run, reused across runs.
+  struct RunBuffers {
+    std::vector<serve::FrameResult> results;
+    std::vector<Detector::WideItem> items;
+    std::vector<usize> live;  ///< run offsets of the frames decoded
+    std::vector<std::shared_ptr<const PreprocessedChannel>> preps;
+  };
+
   void lane_main(unsigned lane);
   /// Blocks for work: fills `out` from the lane's own queue (up to
   /// batch_size), or steals one frame from the most-backlogged sibling when
   /// the own queue is empty. Returns false when closed and fully drained.
   bool next_batch(unsigned lane, std::vector<PlacedFrame>& out);
-  /// A maximal run of consecutive frames from one popped batch that share a
-  /// tier — channels may differ (interleaved cells fuse too). Resolves each
-  /// DISTINCT channel in the run once through prep_cache_, then decodes the
-  /// run fused (decode_wide) or falls back to per-frame process() when the
-  /// detector has no cacheable phase.
-  void process_run(unsigned lane, Detector& primary, Detector& kbest,
-                   Detector& mmse, Detector& linear,
-                   std::vector<PlacedFrame>& batch, usize begin, usize end);
-  /// Fused path: expired frames peel off to their usual fallback; the live
-  /// remainder decodes through one decode_wide call, each frame against its
-  /// own prep — bit-identical per frame to the sequential path. `preps` is
-  /// indexed parallel to [begin, end). Paced backends sleep to the run's
-  /// summed charged device time plus ONE round trip — the former's
-  /// amortization.
-  void process_fused(
-      unsigned lane, Detector& chosen, Detector& linear,
-      std::vector<PlacedFrame>& batch, usize begin, usize end,
-      const std::vector<std::shared_ptr<const PreprocessedChannel>>& preps);
-  void process(unsigned lane, Detector& primary, Detector& kbest,
-               Detector& mmse, Detector& linear, PlacedFrame& pf,
-               const PreprocessedChannel* prep = nullptr);
+  /// Decodes one run: consecutive frames of one popped batch that share a
+  /// tier (channels may differ — interleaved cells fuse too), or a single
+  /// frame when `chosen` has no cacheable channel phase. Resolves each
+  /// DISTINCT channel once through prep_cache_; expired frames peel off to
+  /// their usual fallback; the live remainder decodes through one
+  /// decode_wide call (decode_into per frame for a prep-less detector),
+  /// bit-identical per frame to sequential decodes. Paced backends sleep to
+  /// the run's summed charged device time plus ONE round trip — the
+  /// former's amortization.
+  void process_run(unsigned lane, Detector& chosen, Detector& linear,
+                   std::vector<PlacedFrame>& batch, usize begin, usize end,
+                   RunBuffers& run);
 
   SystemConfig system_;
   BackendConfig cfg_;
@@ -261,25 +253,7 @@ class Backend {
   std::vector<std::thread> threads_;
 };
 
-/// One detector per lane, any DecoderSpec.
-class CpuBackend final : public Backend {
- public:
-  CpuBackend(SystemConfig system, BackendConfig config);
-};
-
-/// Simulated U280 pipeline lanes paced to charged device time + host RTT.
-class FpgaBackend final : public Backend {
- public:
-  FpgaBackend(SystemConfig system, BackendConfig config);
-};
-
-/// Multi-threaded sub-tree SD lanes.
-class ParallelSdBackend final : public Backend {
- public:
-  ParallelSdBackend(SystemConfig system, BackendConfig config);
-};
-
-/// Builds the subclass matching config.kind.
+/// Builds a Backend for `config` (validated as the constructor does).
 [[nodiscard]] std::unique_ptr<Backend> make_backend(const SystemConfig& system,
                                                     BackendConfig config);
 
@@ -305,7 +279,7 @@ struct PoolDefaults {
 /// `kind[:lanes][:rtt-ms=X][:opt=val...]`, e.g. "cpu:4,fpga:2:rtt-ms=1".
 /// Kinds: `cpu` (the server's primary decoder), `fpga` / `fpga-base`
 /// (simulated design points), `multipe` (parallel sub-tree SD), or any
-/// decoder-spec name (`kbest:2:k=8`, `zf`, ...) for a CpuBackend of that
+/// decoder-spec name (`kbest:2:k=8`, `zf`, ...) for a cpu backend of that
 /// decoder. Bare integer fields set the lane count; remaining `key=val`
 /// fields become decoder options. Throws sd::invalid_argument_error on
 /// malformed specs.

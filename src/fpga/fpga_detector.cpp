@@ -13,16 +13,15 @@ FpgaDetector::FpgaDetector(const Constellation& constellation,
            "one design per modulation)");
 }
 
-DecodeResult FpgaDetector::decode(const CMat& h, std::span<const cplx> y,
-                                  double sigma2) {
+void FpgaDetector::decode_into(const CMat& h, std::span<const cplx> y,
+                               double sigma2, DecodeResult& out) {
   SD_TRACE_SPAN("decode");
   const Preprocessed pre = sd::preprocess(h, y, opts_.sorted_qr);
   last_ = pipeline_.run(pre, *c_, sigma2, opts_);
-  DecodeResult result = last_.result;
-  result.stats.preprocess_seconds = pre.seconds;
+  out = last_.result;
+  out.stats.preprocess_seconds = pre.seconds;
   // Simulated device latency (see header note).
-  result.stats.search_seconds = last_.total_seconds;
-  return result;
+  out.stats.search_seconds = last_.total_seconds;
 }
 
 }  // namespace sd

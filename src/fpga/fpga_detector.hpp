@@ -24,8 +24,8 @@ class FpgaDetector final : public Detector {
     return pipeline_.config().optimized ? "FPGA-optimized" : "FPGA-baseline";
   }
 
-  [[nodiscard]] DecodeResult decode(const CMat& h, std::span<const cplx> y,
-                                    double sigma2) override;
+  void decode_into(const CMat& h, std::span<const cplx> y, double sigma2,
+                   DecodeResult& out) override;
 
   /// Per-unit cycle breakdown and memory statistics of the last decode.
   [[nodiscard]] const FpgaRunReport& last_report() const noexcept {

@@ -605,7 +605,7 @@ TEST(DispatchStealing, StolenFramesDecodeBitIdentically) {
   cfg.lane_queue_capacity = kFrames;
   cfg.allow_stealing = true;
   apply_rate_priors(cfg);
-  CpuBackend backend(sys, cfg);
+  Backend backend(sys, cfg);
 
   // Pile every frame onto lane 0 *before* starting the lanes: lane 1 wakes
   // idle against a deep sibling backlog and must steal.
@@ -663,7 +663,7 @@ TEST(DispatchCoherent, FusedRunsAreBitIdenticalAndAccounted) {
   cfg.lane_queue_capacity = kFrames;
   cfg.batch_size = kBlock;
   apply_rate_priors(cfg);
-  CpuBackend backend(sys, cfg);
+  Backend backend(sys, cfg);
 
   ScenarioConfig sc;
   sc.num_tx = kM;
@@ -742,7 +742,7 @@ TEST(DispatchCoherent, InterleavedCellsFuseAcrossChannelBoundaries) {
   cfg.lane_queue_capacity = kFrames;
   cfg.batch_size = kBatch;
   apply_rate_priors(cfg);
-  CpuBackend backend(sys, cfg);
+  Backend backend(sys, cfg);
 
   // Two scenarios, one coherent channel each: stream A and stream B.
   auto coherent_trials = [](std::uint64_t seed) {
@@ -923,7 +923,7 @@ TEST(DispatchFormer, GatherAndStealRetireEveryFrameExactlyOnce) {
   cfg.allow_stealing = true;
   cfg.cross_lane_former = true;
   apply_rate_priors(cfg);
-  CpuBackend backend(sys, cfg);
+  Backend backend(sys, cfg);
 
   const std::vector<Trial> trials = seeded_trials(kFrames, 6.0);
   for (usize i = 0; i < kFrames; ++i) {
@@ -1059,6 +1059,98 @@ TEST(DispatchFormer, PacedBackendAmortizesRttAcrossGatheredRuns) {
       EXPECT_DOUBLE_EQ(result.result.metric, want.metric);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Lane runs of detectors without a cacheable channel phase
+
+// Places `trials` on lane 0 of a one-lane backend built from `pool_spec`
+// with batch=4, runs it to completion and returns what it retired. Frames
+// whose index is in `expired` were submitted a second ago with a 1 ms
+// deadline, so they expire in the queue; the rest carry no deadline.
+std::vector<std::pair<PlacedFrame, serve::FrameResult>> run_batched_backend(
+    const std::string& pool_spec, const std::vector<Trial>& trials,
+    const std::vector<bool>& expired, Backend::Snapshot& snap) {
+  PoolDefaults pd;
+  pd.primary = parse_decoder_spec("sphere");
+  pd.batch_size = 4;
+  pd.lane_queue_capacity = trials.size();
+  std::vector<BackendConfig> pool = parse_backend_pool(pool_spec, pd);
+  EXPECT_EQ(pool[0].batch_size, 4u);
+  Backend backend(test_system(), std::move(pool[0]));
+  for (usize i = 0; i < trials.size(); ++i) {
+    PlacedFrame pf;
+    pf.frame = make_frame(trials[i], i, expired[i] ? 1e-3 : 0.0);
+    pf.frame.submit_time = serve::Clock::now();
+    if (expired[i]) pf.frame.submit_time -= std::chrono::seconds(1);
+    pf.lane = 0;
+    EXPECT_EQ(backend.place(std::move(pf)).status,
+              serve::PushStatus::kAccepted);
+  }
+  CaptureSink sink;
+  backend.start(sink);
+  backend.close();
+  backend.join();
+  snap = backend.snapshot();
+  return sink.take();
+}
+
+TEST(DispatchRuns, PreplessDecoderDecodesFrameByFrameWithExpiryFallback) {
+  // MMSE has no cacheable channel phase: its frames decode one by one with
+  // decode_into even when a pop holds 4 of them, they never touch the prep
+  // cache, and expired frames still take the ZF fallback.
+  constexpr usize kFrames = 12;
+  const std::vector<Trial> trials = seeded_trials(kFrames, 8.0);
+  std::vector<bool> expired(kFrames);
+  for (usize i = 0; i < kFrames; ++i) expired[i] = i % 3 == 1;
+  Backend::Snapshot snap;
+  const auto retired = run_batched_backend("mmse:1", trials, expired, snap);
+  ASSERT_EQ(retired.size(), kFrames);
+
+  auto mmse = make_detector(test_system(), parse_decoder_spec("mmse"));
+  auto zf = make_detector(test_system(), parse_decoder_spec("zf"));
+  usize n_expired = 0;
+  for (const auto& [placed, result] : retired) {
+    const Trial& t = trials[result.id];
+    DecodeResult want;
+    if (expired[result.id]) {
+      ++n_expired;
+      EXPECT_EQ(result.status, serve::FrameStatus::kExpiredFallback);
+      EXPECT_EQ(result.tier, serve::DecodeTier::kLinear);
+      zf->decode_into(t.h, t.y, t.sigma2, want);
+    } else {
+      EXPECT_EQ(result.status, serve::FrameStatus::kCompleted);
+      mmse->decode_into(t.h, t.y, t.sigma2, want);
+    }
+    EXPECT_EQ(result.result.indices, want.indices) << "frame " << result.id;
+    EXPECT_EQ(result.result.symbols, want.symbols) << "frame " << result.id;
+    EXPECT_EQ(result.result.metric, want.metric) << "frame " << result.id;
+  }
+  EXPECT_EQ(snap.frames, kFrames);
+  EXPECT_EQ(snap.expired_fallback, n_expired);
+  EXPECT_EQ(snap.completed, kFrames - n_expired);
+  EXPECT_EQ(snap.fused_runs, 0u);
+  EXPECT_EQ(snap.prep_hits + snap.prep_misses, 0u);
+}
+
+TEST(DispatchRuns, PacedPreplessEntryPaysTheRoundTripPerFrame) {
+  // The FPGA model has no cacheable channel phase either, so a paced entry
+  // ships each frame as its own device round trip: every frame is charged
+  // at least the RTT, where a fused run of 4 would charge a quarter of it.
+  constexpr usize kFrames = 8;
+  const std::vector<Trial> trials = seeded_trials(kFrames, 10.0);
+  Backend::Snapshot snap;
+  const auto retired = run_batched_backend(
+      "fpga:1:batch=4:rtt-ms=2", trials, std::vector<bool>(kFrames), snap);
+  ASSERT_EQ(retired.size(), kFrames);
+  constexpr double kRttS = 2e-3;
+  for (const auto& [placed, result] : retired) {
+    EXPECT_EQ(result.status, serve::FrameStatus::kCompleted);
+    EXPECT_GE(placed.charged_seconds, kRttS) << "frame " << result.id;
+  }
+  EXPECT_EQ(snap.completed, kFrames);
+  EXPECT_EQ(snap.fused_runs, 0u);
+  EXPECT_EQ(snap.prep_hits + snap.prep_misses, 0u);
 }
 
 }  // namespace

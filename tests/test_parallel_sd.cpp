@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -114,12 +115,11 @@ TEST(ParallelSd, ResultsInvariantToNumThreads) {
   }
 }
 
-// Regression companion to the shrink-safety audit at the radius-publication
-// site in parallel_sd.cpp: with many workers racing to publish leaves on a
-// wide low-SNR tree, the mutex-serialized monotone store must behave exactly
-// like a CAS-min — the published radius can only tighten, so the decode
-// stays exact. Runs under the TSan CI job (name matches its -R filter),
-// which additionally proves the publication is race-free.
+// Regression companion to the radius publication in parallel_sd.cpp: with
+// many workers finding leaves on a wide low-SNR tree, the radius published
+// at each round barrier can only tighten, so the decode stays exact. Runs
+// under the TSan CI job (name matches its -R filter), which additionally
+// proves the publication is race-free.
 TEST(ParallelSd, RadiusPublicationUnderContention) {
   const Constellation& c = Constellation::get(Modulation::kQam4);
   ParallelSdOptions contended;
@@ -145,12 +145,14 @@ TEST(ParallelSd, RadiusPublicationUnderContention) {
 
 // decode_wide partitions EVERY frame's sub-trees into one global unit list,
 // interleaved round-robin in best-first rank order, and assigns unit j to
-// worker j mod W statically. Per-frame radii shrink via a publication-only
-// CAS-min and the per-worker bests are reduced in worker order after the
+// worker j mod W statically. Per-frame radii are published only at round
+// barriers and the per-worker bests are reduced in worker order after the
 // join, so which leaf wins never depends on thread timing: indices, symbols
 // and metric must be bit-identical to sequential decode_with() for any W.
-// (Work counters are schedule-dependent — a frame's radius tightens while
-// interleaved with other frames' sub-trees — and deliberately not pinned.)
+// (Work counters depend on W and on the batch — a frame's radius tightens at
+// barriers of rounds it shares with other frames' sub-trees — so they are
+// not compared with the sequential decode here;
+// ParallelSd.CountersDependOnlyOnInputAndWorkerCount pins them per W.)
 TEST(ParallelSd, WideDecodeMatchesSequentialForAnyWorkerCount) {
   const Constellation& c = Constellation::get(Modulation::kQam4);
   constexpr usize kWidth = 5;
@@ -217,6 +219,117 @@ TEST(ParallelSd, WideDecodeSingleItemFallsBackToSequential) {
   EXPECT_EQ(got.metric, expect.metric);
   EXPECT_EQ(got.stats.nodes_expanded, expect.stats.nodes_expanded);
   EXPECT_EQ(got.stats.radius_updates, expect.stats.radius_updates);
+}
+
+void expect_same_work(const DecodeStats& got, const DecodeStats& want,
+                      const std::string& where) {
+  EXPECT_EQ(got.nodes_expanded, want.nodes_expanded) << where;
+  EXPECT_EQ(got.nodes_generated, want.nodes_generated) << where;
+  EXPECT_EQ(got.nodes_pruned, want.nodes_pruned) << where;
+  EXPECT_EQ(got.leaves_reached, want.leaves_reached) << where;
+  EXPECT_EQ(got.radius_updates, want.radius_updates) << where;
+  EXPECT_EQ(got.gemm_calls, want.gemm_calls) << where;
+  EXPECT_EQ(got.flops, want.flops) << where;
+  EXPECT_EQ(got.sort_ops, want.sort_ops) << where;
+  EXPECT_EQ(got.bytes_touched, want.bytes_touched) << where;
+  EXPECT_EQ(got.tree_levels, want.tree_levels) << where;
+  EXPECT_EQ(got.peak_list_size, want.peak_list_size) << where;
+  EXPECT_EQ(got.quant_saturations, want.quant_saturations) << where;
+  EXPECT_EQ(got.quant_overflows, want.quant_overflows) << where;
+  EXPECT_EQ(got.quant_requants, want.quant_requants) << where;
+  EXPECT_EQ(got.quant_fallbacks, want.quant_fallbacks) << where;
+  EXPECT_EQ(got.neumann_terms, want.neumann_terms) << where;
+  EXPECT_EQ(got.neumann_exact_solves, want.neumann_exact_solves) << where;
+  EXPECT_EQ(got.neumann_fallbacks, want.neumann_fallbacks) << where;
+  EXPECT_EQ(got.node_budget_hit, want.node_budget_hit) << where;
+}
+
+void expect_same_decode(const DecodeResult& got, const DecodeResult& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.indices, want.indices) << where;
+  EXPECT_EQ(got.symbols, want.symbols) << where;
+  EXPECT_EQ(got.metric, want.metric) << where;
+  expect_same_work(got.stats, want.stats, where);
+}
+
+// Radii move only at round barriers, so the work every worker does — and
+// hence every DecodeStats counter — is a function of the input and the
+// worker count W alone, never of thread timing. Pinned three ways for each
+// (W, split): two instances over repeated decodes, the three single-frame
+// entry points against each other, and a repeated wide batch.
+TEST(ParallelSd, CountersDependOnlyOnInputAndWorkerCount) {
+  const Constellation& c = Constellation::get(Modulation::kQam4);
+  constexpr usize kFrames = 5;
+  constexpr int kRepeats = 20;
+  std::vector<Trial> trials;
+  for (usize i = 0; i < kFrames; ++i) {
+    trials.push_back(
+        make_trial(7, Modulation::kQam4, i % 2 == 0 ? 8.0 : 2.0, 200 + i));
+  }
+  for (unsigned threads : {1u, 2u, 4u}) {
+    for (index_t split : {index_t{1}, index_t{2}}) {
+      const std::string config = "threads=" + std::to_string(threads) +
+                                 " split=" + std::to_string(split);
+      ParallelSdOptions opts;
+      opts.num_threads = threads;
+      opts.split_depth = split;
+      ParallelSdDetector a(c, opts);
+      ParallelSdDetector b(c, opts);
+      std::vector<std::shared_ptr<const PreprocessedChannel>> preps;
+      for (const Trial& t : trials) {
+        preps.push_back(a.preprocess(ChannelHandle(t.h)));
+      }
+
+      // 1. Two instances, every frame decoded kRepeats times.
+      std::vector<DecodeResult> first(kFrames);
+      for (usize i = 0; i < kFrames; ++i) {
+        a.decode_into(trials[i].h, trials[i].y, trials[i].sigma2, first[i]);
+      }
+      for (int rep = 0; rep < kRepeats; ++rep) {
+        for (usize i = 0; i < kFrames; ++i) {
+          const std::string where = config + " rep=" + std::to_string(rep) +
+                                    " frame=" + std::to_string(i);
+          DecodeResult ra;
+          DecodeResult rb;
+          a.decode_into(trials[i].h, trials[i].y, trials[i].sigma2, ra);
+          b.decode_into(trials[i].h, trials[i].y, trials[i].sigma2, rb);
+          expect_same_decode(ra, first[i], where);
+          expect_same_decode(rb, first[i], where);
+        }
+      }
+
+      // 2. decode_into, decode_with and a width-1 decode_wide agree.
+      for (usize i = 0; i < kFrames; ++i) {
+        const std::string where = config + " frame=" + std::to_string(i);
+        DecodeResult with;
+        b.decode_with(*preps[i], trials[i].y, trials[i].sigma2, with);
+        expect_same_decode(with, first[i], where + " decode_with");
+        DecodeResult solo;
+        std::vector<Detector::WideItem> one{
+            {preps[i].get(), trials[i].y, trials[i].sigma2, &solo}};
+        b.decode_wide(one);
+        expect_same_decode(solo, first[i], where + " width-1 decode_wide");
+      }
+
+      // 3. A repeated 5-frame wide batch repeats its per-frame counters.
+      std::vector<DecodeResult> wide_a(kFrames);
+      std::vector<DecodeResult> wide_b(kFrames);
+      for (auto* got : {&wide_a, &wide_b}) {
+        std::vector<Detector::WideItem> items;
+        for (usize i = 0; i < kFrames; ++i) {
+          items.push_back({preps[i].get(), trials[i].y, trials[i].sigma2,
+                           &(*got)[i]});
+        }
+        (got == &wide_a ? a : b).decode_wide(items);
+      }
+      for (usize i = 0; i < kFrames; ++i) {
+        expect_same_decode(wide_b[i], wide_a[i],
+                           config + " wide frame=" + std::to_string(i));
+        EXPECT_EQ(wide_a[i].indices, first[i].indices) << config;
+        EXPECT_EQ(wide_a[i].metric, first[i].metric) << config;
+      }
+    }
+  }
 }
 
 TEST(ParallelSd, RejectsBadSplitDepth) {
